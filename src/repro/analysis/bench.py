@@ -13,16 +13,14 @@ overhead metric: TOPO-AWARE ≈3 s vs FCFS ≈0.45 s per round at 10k-job
 scale).  Placement-memo, incremental-DRB and candidate-prefilter
 counters ride along so a speedup can be attributed (cache hits vs raw
 fast-path gains), and every bench run re-verifies bit-identical
-placements across the whole fast-path matrix — memo-disabled, both
-scaling fast paths off, each one alone — before reporting numbers.
+placements with the memo disabled and with the decision recorder
+attached before reporting numbers.
 
-The ``fastpath`` section times TOPO-AWARE with the incremental-DRB
-split cache and the top-k candidate prefilter on vs off (interleaved
-repeats, so machine-load drift hits both sides equally) and reports
-the speedup; ``--seed-baseline`` lets the artifact additionally record
-an externally measured pre-fast-path engine time (e.g. from a checkout
-of the commit before the fast paths landed) for the full
-seed-vs-current trajectory.
+The incremental-DRB split cache and the top-k candidate prefilter are
+the engine's only placement path, so there is no on/off timing here:
+the loaded-regime benchmark (``loadbench/``) bounds their end-to-end
+cost, and the test suite checks them record-for-record against the
+direct functions (``tests/sim/test_fastpath_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -81,7 +79,6 @@ class BenchResult:
     repeats: int
     schedulers: dict[str, dict] = field(default_factory=dict)
     equivalence: dict | None = None
-    fastpath: dict | None = None
 
     def as_dict(self) -> dict:
         out = {
@@ -98,8 +95,6 @@ class BenchResult:
         }
         if self.equivalence is not None:
             out["equivalence"] = self.equivalence
-        if self.fastpath is not None:
-            out["fastpath"] = self.fastpath
         return out
 
 
@@ -118,14 +113,10 @@ def _run_once(
     *,
     memo_size: int | None = None,
     recorder=None,
-    incremental_drb: bool = True,
-    prefilter: bool = True,
 ) -> tuple[SimulationResult, float]:
     """One simulation on a fresh topology; returns (result, wall s)."""
     topo = cluster(n_machines)
-    state = ClusterState(
-        topo, incremental_drb=incremental_drb, prefilter=prefilter
-    )
+    state = ClusterState(topo)
     if memo_size is not None:
         state.engine.memo_size = memo_size
     sim = Simulator(
@@ -156,18 +147,14 @@ def _records_identical(a: SimulationResult, b: SimulationResult) -> bool:
 def check_equivalence(
     jobs: Sequence[Job], n_machines: int, scheduler_name: str = "TOPO-AWARE"
 ) -> dict:
-    """Every engine fast path vs the plain engine: placements must match.
+    """Engine fast path and tap vs the plain engine: placements must match.
 
     Complements the golden tests (which pin the fast path against
     committed seed-engine outputs at fixed scales) by re-proving, at
-    whatever scale the bench runs, that no fast path changes a
-    decision:
+    whatever scale the bench runs, that neither the memo nor the
+    provenance recorder changes a decision:
 
     * ``identical`` — placement memo on vs memo disabled;
-    * ``fastpath_off_identical`` — incremental DRB + candidate
-      prefilter both disabled;
-    * ``drb_only_identical`` / ``prefilter_only_identical`` — each
-      scaling fast path alone (mixed configurations);
     * ``recorder_identical`` — the decision-provenance recorder
       attached (pure-tap proof), with its recorded/dropped counters.
     """
@@ -175,18 +162,6 @@ def check_equivalence(
 
     memo, _ = _run_once(jobs, n_machines, scheduler_name)
     cold, _ = _run_once(jobs, n_machines, scheduler_name, memo_size=0)
-    off, _ = _run_once(
-        jobs, n_machines, scheduler_name,
-        incremental_drb=False, prefilter=False,
-    )
-    drb_only, _ = _run_once(
-        jobs, n_machines, scheduler_name,
-        incremental_drb=True, prefilter=False,
-    )
-    pf_only, _ = _run_once(
-        jobs, n_machines, scheduler_name,
-        incremental_drb=False, prefilter=True,
-    )
     recorder = DecisionRecorder(journal=True)
     recorded, _ = _run_once(
         jobs, n_machines, scheduler_name, recorder=recorder
@@ -194,71 +169,10 @@ def check_equivalence(
     return {
         "scheduler": scheduler_name,
         "identical": _records_identical(memo, cold),
-        "fastpath_off_identical": _records_identical(memo, off),
-        "drb_only_identical": _records_identical(memo, drb_only),
-        "prefilter_only_identical": _records_identical(memo, pf_only),
         "recorder_identical": _records_identical(memo, recorded),
         "memo_stats": memo.placement_stats,
         "decision_stats": recorder.counts(),
     }
-
-
-def measure_fastpath(
-    jobs: Sequence[Job],
-    n_machines: int,
-    scheduler_name: str = "TOPO-AWARE",
-    *,
-    repeats: int = 3,
-    seed_baseline_s: float | None = None,
-) -> dict:
-    """Time the scaling fast paths on vs off for one scheduler.
-
-    The on/off runs are *interleaved* across repeats so machine-load
-    drift hits both sides equally, and the best (minimum) decision
-    time per side is compared.  ``seed_baseline_s`` (optional) is an
-    externally measured mean decision time of the engine *before* the
-    fast paths existed — e.g. from a checkout of the seed commit run
-    on the same machine — recorded verbatim with the derived speedup
-    so the artifact carries the full trajectory, not just the
-    flag-gated share of it.
-    """
-    best_fast: dict | None = None
-    best_off = float("inf")
-    for _ in range(max(1, repeats)):
-        fast, _ = _run_once(jobs, n_machines, scheduler_name)
-        off, _ = _run_once(
-            jobs, n_machines, scheduler_name,
-            incremental_drb=False, prefilter=False,
-        )
-        if best_fast is None or (
-            fast.mean_decision_time_s < best_fast["mean_decision_time_s"]
-        ):
-            best_fast = {
-                "mean_decision_time_s": fast.mean_decision_time_s,
-                "drb_stats": fast.drb_stats,
-                "prefilter_stats": fast.prefilter_stats,
-            }
-        best_off = min(best_off, off.mean_decision_time_s)
-    out = {
-        "scheduler": scheduler_name,
-        "fast_mean_decision_time_s": best_fast["mean_decision_time_s"],
-        "off_mean_decision_time_s": best_off,
-        "speedup_vs_off": (
-            best_off / best_fast["mean_decision_time_s"]
-            if best_fast["mean_decision_time_s"] > 0
-            else 0.0
-        ),
-        "drb_stats": best_fast["drb_stats"],
-        "prefilter_stats": best_fast["prefilter_stats"],
-    }
-    if seed_baseline_s is not None:
-        out["seed_mean_decision_time_s"] = seed_baseline_s
-        out["speedup_vs_seed"] = (
-            seed_baseline_s / best_fast["mean_decision_time_s"]
-            if best_fast["mean_decision_time_s"] > 0
-            else 0.0
-        )
-    return out
 
 
 def run_bench(
@@ -269,17 +183,12 @@ def run_bench(
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
     repeats: int = 3,
     verify: bool = True,
-    fastpath: bool = True,
-    seed_baseline_s: float | None = None,
 ) -> BenchResult:
     """Time decision rounds for each scheduler at one scale.
 
     Each scheduler runs ``repeats`` times on fresh topologies; the
     reported decision time is the *minimum* across repeats (the usual
     benchmarking convention: least-noise estimate of the true cost).
-    With ``fastpath=True`` (default) a TOPO-AWARE on/off comparison of
-    the scaling fast paths (incremental DRB + candidate prefilter) is
-    measured and attached as the ``fastpath`` section.
     """
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
@@ -304,21 +213,12 @@ def run_bench(
                 "mean_decision_time_s": result.mean_decision_time_s,
                 "makespan_s": result.makespan,
                 "placement_stats": result.placement_stats,
+                "drb_stats": result.drb_stats,
+                "prefilter_stats": result.prefilter_stats,
             }
-            if result.drb_stats:
-                row["drb_stats"] = result.drb_stats
-            if result.prefilter_stats:
-                row["prefilter_stats"] = result.prefilter_stats
             if best is None or row["decision_time_s"] < best["decision_time_s"]:
                 best = row
         bench.schedulers[name] = best
-    if fastpath:
-        bench.fastpath = measure_fastpath(
-            jobs,
-            n_machines,
-            repeats=repeats,
-            seed_baseline_s=seed_baseline_s,
-        )
     if verify:
         bench.equivalence = check_equivalence(jobs, n_machines)
     return bench
@@ -336,7 +236,6 @@ def compare_to_baseline(
     bench: BenchResult,
     baseline_path: Path,
     threshold: float = 3.0,
-    min_speedup: float | None = None,
 ) -> list[str]:
     """Regression check against a committed ``BENCH_*.json``.
 
@@ -344,12 +243,6 @@ def compare_to_baseline(
     scheduler regresses when its mean decision time exceeds the
     baseline's by more than ``threshold``x — generous by design, since
     CI machines differ from the one that wrote the baseline.
-
-    ``min_speedup`` (optional) additionally gates the measured
-    fast-path speedup: the run fails when the on/off ratio in the
-    ``fastpath`` section falls below it.  The ratio is computed from
-    interleaved same-machine runs, so unlike absolute times it is
-    largely load-independent — CI can hold it to a floor.
 
     Raises :class:`OSError` when the baseline file is missing or
     unreadable and :class:`ValueError` when its contents are not a
@@ -392,18 +285,6 @@ def compare_to_baseline(
             "fast-path equivalence check failed: memoised and cold engines "
             "produced different placements"
         )
-    for key, what in (
-        ("fastpath_off_identical", "disabling incremental DRB + prefilter"),
-        ("drb_only_identical", "running incremental DRB alone"),
-        ("prefilter_only_identical", "running the candidate prefilter alone"),
-    ):
-        if bench.equivalence is not None and not bench.equivalence.get(
-            key, True
-        ):
-            failures.append(
-                f"fast-path equivalence check failed: {what} "
-                "changed placements"
-            )
     if bench.equivalence is not None and not bench.equivalence.get(
         "recorder_identical", True
     ):
@@ -411,13 +292,6 @@ def compare_to_baseline(
             "provenance equivalence check failed: attaching the decision "
             "recorder changed placements"
         )
-    if min_speedup is not None and bench.fastpath is not None:
-        measured = bench.fastpath.get("speedup_vs_off", 0.0)
-        if measured < min_speedup:
-            failures.append(
-                f"fast-path speedup {measured:.2f}x below the required "
-                f"{min_speedup:.2f}x (on/off, interleaved)"
-            )
     return failures
 
 
@@ -438,55 +312,12 @@ def format_bench(bench: BenchResult) -> str:
             f"{row['decision_rounds']:>8d}{row['decision_time_s']:>9.3f}s"
             f"{hit}"
         )
-    if bench.fastpath is not None:
-        fp = bench.fastpath
-        line = (
-            f"fastpath ({fp['scheduler']}): "
-            f"{fp['fast_mean_decision_time_s'] * 1e3:.3f}ms on vs "
-            f"{fp['off_mean_decision_time_s'] * 1e3:.3f}ms off "
-            f"-> {fp['speedup_vs_off']:.2f}x"
-        )
-        if "speedup_vs_seed" in fp:
-            line += (
-                f" ({fp['speedup_vs_seed']:.2f}x vs seed engine "
-                f"{fp['seed_mean_decision_time_s'] * 1e3:.3f}ms)"
-            )
-        lines.append(line)
-        drb = fp.get("drb_stats") or {}
-        pf = fp.get("prefilter_stats") or {}
-        if drb or pf:
-            lines.append(
-                "  drb: "
-                f"{drb.get('splits_reused', 0)} splits reused / "
-                f"{drb.get('splits_computed', 0)} computed "
-                f"(reuse {drb.get('split_reuse_rate', 0.0) * 100.0:.1f}%, "
-                f"{drb.get('rounds_incremental', 0)} rounds patched, "
-                f"{drb.get('rounds_rebuilt', 0)} rebuilt); "
-                "prefilter: "
-                f"{pf.get('considered', 0)} hosts probed / "
-                f"{pf.get('pruned', 0)} skipped "
-                f"(prune {pf.get('prune_rate', 0.0) * 100.0:.1f}%)"
-            )
     if bench.equivalence is not None:
         verdict = "OK" if bench.equivalence["identical"] else "MISMATCH"
         lines.append(
             f"equivalence ({bench.equivalence['scheduler']}, memo vs cold): "
             f"{verdict}"
         )
-        fp_keys = (
-            ("fastpath_off_identical", "both off"),
-            ("drb_only_identical", "drb only"),
-            ("prefilter_only_identical", "prefilter only"),
-        )
-        fp_bits = [
-            f"{label}: {'OK' if bench.equivalence[key] else 'MISMATCH'}"
-            for key, label in fp_keys
-            if key in bench.equivalence
-        ]
-        if fp_bits:
-            lines.append(
-                "equivalence (fast-path matrix): " + "; ".join(fp_bits)
-            )
         if "recorder_identical" in bench.equivalence:
             rec_verdict = (
                 "OK" if bench.equivalence["recorder_identical"] else "MISMATCH"

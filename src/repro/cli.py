@@ -121,12 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "simulate":
             p.add_argument("--scheduler", choices=SCHEDULER_CHOICES,
                            type=lambda s: s.upper(), default="TOPO-AWARE-P")
-            p.add_argument("--no-incremental-drb", action="store_true",
-                           help="disable the incremental DRB split cache "
-                           "(placements are bit-identical either way)")
-            p.add_argument("--no-prefilter", action="store_true",
-                           help="disable the top-k candidate prefilter "
-                           "(placements are bit-identical either way)")
 
     topo = sub.add_parser("topo", help="print a machine topology")
     topo.add_argument("--machine", choices=MACHINE_CHOICES, default="power8-minsky")
@@ -169,19 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fail when slower than this committed baseline")
     bench.add_argument("--threshold", type=float, default=3.0,
                        help="allowed slowdown vs the baseline (default 3.0x)")
-    bench.add_argument("--no-fastpath", action="store_true",
-                       help="skip the incremental-DRB/prefilter on-vs-off "
-                       "timing section")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       metavar="X",
-                       help="with --check-against: fail when the measured "
-                       "fast-path on/off speedup falls below X "
-                       "(load-independent interleaved ratio)")
-    bench.add_argument("--seed-baseline", type=float, default=None,
-                       metavar="SECONDS",
-                       help="externally measured mean decision time of the "
-                       "pre-fast-path engine, recorded in the artifact "
-                       "with the derived speedup-vs-seed")
 
     serve = sub.add_parser(
         "serve", help="run the scheduler service daemon (submission API)"
@@ -618,15 +599,8 @@ def _cmd_simulate(args) -> int:
     from repro.sim.metrics import UtilizationObserver, summarize
     from repro.sim.runner import run_with_observers
 
-    from repro.sim.cluster import ClusterState
-
     topo = _topology_factory(args)()
     jobs = _generate(args)
-    state = ClusterState(
-        topo,
-        incremental_drb=not args.no_incremental_drb,
-        prefilter=not args.no_prefilter,
-    )
     gantt = GanttObserver(args.scheduler)
     utilization = UtilizationObserver(total_gpus=len(topo.gpus()))
     try:
@@ -641,7 +615,6 @@ def _cmd_simulate(args) -> int:
             make_scheduler(args.scheduler),
             jobs,
             observers=(gantt, utilization, *telemetry),
-            cluster=state,
         )
         for key, value in summarize(result).items():
             print(f"{key:>22}: {value}")
@@ -835,8 +808,6 @@ def _cmd_bench(args) -> int:
         schedulers=schedulers,
         repeats=1 if args.quick else args.repeats,
         verify=not args.no_verify,
-        fastpath=not args.no_fastpath,
-        seed_baseline_s=args.seed_baseline,
     )
     print(format_bench(bench))
     if args.out is not None:
@@ -845,8 +816,7 @@ def _cmd_bench(args) -> int:
     if args.check_against is not None:
         try:
             failures = compare_to_baseline(
-                bench, args.check_against, args.threshold,
-                min_speedup=args.min_speedup,
+                bench, args.check_against, args.threshold
             )
         except (OSError, ValueError) as exc:
             # missing or malformed baseline: one line, exit 2, no traceback

@@ -110,14 +110,14 @@ class PlacementEngine:
     recompute the identical answer.  Stale-pool entries age out of the
     LRU naturally.  ``0`` disables memoisation entirely.
 
-    Two further fast paths, both bit-identical by construction (see
-    DESIGN.md §9) and independently switchable for A/B verification:
+    Two further fast paths, both bit-identical by construction to the
+    direct functions they stand in for (see DESIGN.md §9):
 
-    * ``incremental_drb`` keeps a :class:`BipartitionCache` synced to
-      the allocation epoch, reusing physical splits and side metrics
+    * :attr:`drb_cache` is a :class:`BipartitionCache` synced to the
+      allocation epoch, reusing physical splits and side metrics
       across proposals and patching only the subtrees whose machines
       changed between rounds;
-    * ``prefilter`` draws host candidates from the allocator's
+    * :attr:`prefilter` draws host candidates from the allocator's
       capacity-bucket index and stops probing once :attr:`max_pools`
       machines survived every constraint, instead of scanning the whole
       fleet per proposal.
@@ -131,9 +131,6 @@ class PlacementEngine:
         profiles: ProfileDatabase | None = None,
         interference_model: InterferenceModel | None = None,
         memo_size: int = 512,
-        *,
-        incremental_drb: bool = True,
-        prefilter: bool = True,
     ) -> None:
         self.topo = topo
         self.alloc = alloc
@@ -145,12 +142,8 @@ class PlacementEngine:
         self.stats = PlacementStats()
         self._memo: OrderedDict[tuple, PlacementSolution | None] = OrderedDict()
         self._memo_version = -1
-        self.drb_cache = BipartitionCache(topo) if incremental_drb else None
-        self.prefilter = (
-            CandidatePrefilter(self.max_pools, PrefilterStats())
-            if prefilter
-            else None
-        )
+        self.drb_cache = BipartitionCache(topo)
+        self.prefilter = CandidatePrefilter(self.max_pools, PrefilterStats())
 
     def _max_pair_bandwidth(self) -> float:
         """Best GPU-pair bandwidth on the first machine (normalisation base)."""
@@ -246,10 +239,7 @@ class PlacementEngine:
                     report=report,
                     # stats-less clone: the re-report is a pure tap and
                     # must not perturb the engine's prefilter counters
-                    prefilter=(
-                        None if self.prefilter is None
-                        else self.prefilter.readonly()
-                    ),
+                    prefilter=self.prefilter.readonly(),
                 )
                 provenance["pools"] = report
             if cached is None:
@@ -270,12 +260,10 @@ class PlacementEngine:
         co_runners: Mapping[str, tuple[Job, frozenset[str]]],
         provenance: dict | None = None,
     ) -> PlacementSolution | None:
-        if self.drb_cache is not None:
-            self.drb_cache.sync(self.alloc)
-        if self.prefilter is not None:
-            # k tracks the engine's pool budget: probing may stop only
-            # once the budget the loop below consumes is full
-            self.prefilter.top_k = self.max_pools
+        self.drb_cache.sync(self.alloc)
+        # k tracks the engine's pool budget: probing may stop only once
+        # the budget the loop below consumes is full
+        self.prefilter.top_k = self.max_pools
         report = {} if provenance is not None else None
         pools = filter_hosts(
             self.topo, self.alloc, job, co_runners, self.profiles,
@@ -415,46 +403,12 @@ class PlacementEngine:
             p2p=p2p,
         )
 
-    def explain(
-        self,
-        job: Job,
-        co_runners: Mapping[str, tuple[Job, frozenset[str]]] | None = None,
-    ) -> list[PlacementSolution]:
-        """All candidate solutions the engine considered, best first.
-
-        Operator-facing: shows *why* a placement won -- every evaluated
-        pool's mapping with its utility, communication cost,
-        interference and P2P capability.  The first element (if any) is
-        exactly what :meth:`propose` would return.
-        """
-        co_runners = co_runners or {}
-        if self.drb_cache is not None:
-            self.drb_cache.sync(self.alloc)
-        pools = filter_hosts(
-            self.topo, self.alloc, job, co_runners, self.profiles,
-            # operator-facing inspection is a tap: same pruning, but it
-            # must not count into the engine's prefilter statistics
-            prefilter=(
-                None if self.prefilter is None else self.prefilter.readonly()
-            ),
-        )
-        jobgraph = self.job_graph(job)
-        candidates = []
-        for pool in pools[: self.max_pools]:
-            solution = self._solve_pool(job, jobgraph, pool, co_runners)
-            if solution is not None:
-                candidates.append(solution)
-        candidates.sort(key=lambda s: -s.utility)
-        return candidates
-
     def drb_stats(self) -> dict:
-        """Incremental-DRB reuse counters ({} when the path is off)."""
-        return {} if self.drb_cache is None else self.drb_cache.stats.as_dict()
+        """Incremental-DRB reuse counters."""
+        return self.drb_cache.stats.as_dict()
 
     def prefilter_stats(self) -> dict:
-        """Prefilter hit counters ({} when the path is off)."""
-        if self.prefilter is None or self.prefilter.stats is None:
-            return {}
+        """Prefilter hit counters."""
         return self.prefilter.stats.as_dict()
 
     def p2p_attainable(self, job: Job) -> bool:

@@ -192,9 +192,12 @@ class Rule:
         return (finite[-1] - finite[0]) / (len(finite) - 1), "evaluate"
 
 
-#: conservative defaults: silent on the paper's Scenario 1 workload,
-#: loud on genuine regressions (saturated queues, dead clusters,
-#: placement storms).  Thresholds are simulation-scale quantities.
+#: conservative defaults: silent on the paper's Scenario 1 workload
+#: and on healthy loaded runs, loud on genuine regressions (saturated
+#: queues, dead clusters, placement storms).  Thresholds are
+#: simulation-scale quantities.  No default watches ``cache_hit_rate``:
+#: under load the placement memo hits well under 1 % on healthy runs,
+#: so a low hit rate says nothing about cluster health.
 DEFAULT_RULES: tuple[Rule, ...] = (
     Rule(
         name="queue-wait-p95-high",
@@ -213,17 +216,6 @@ DEFAULT_RULES: tuple[Rule, ...] = (
         for_rounds=25,
         severity="critical",
         description="cluster essentially idle while work exists",
-    ),
-    Rule(
-        name="placement-cache-degraded",
-        signal="cache_hit_rate",
-        op="<",
-        threshold=0.01,
-        # steady-state churn (Scenario 1) legitimately invalidates the
-        # memo every round, so only a *long* zero-hit regime is a signal
-        for_rounds=1000,
-        severity="warning",
-        description="placement memo no longer absorbing proposals",
     ),
     Rule(
         name="no-fit-storm",

@@ -68,8 +68,6 @@ class ClusterState:
         calibration: Calibration = DEFAULT_CALIBRATION,
         params: UtilityParams = UtilityParams(),
         profiles: ProfileDatabase | None = None,
-        incremental_drb: bool = True,
-        prefilter: bool = True,
     ) -> None:
         self.topo = topo
         self.calibration = calibration
@@ -78,13 +76,7 @@ class ClusterState:
         self.perf = PerformanceModel(topo, calibration)
         self.interference = InterferenceModel(topo, calibration)
         self.engine = PlacementEngine(
-            topo,
-            self.alloc,
-            params,
-            profiles,
-            self.interference,
-            incremental_drb=incremental_drb,
-            prefilter=prefilter,
+            topo, self.alloc, params, profiles, self.interference
         )
         self.running: dict[str, RunningJob] = {}
         self.now = 0.0

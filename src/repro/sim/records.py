@@ -76,12 +76,12 @@ class SimulationResult:
     placement_stats: dict = field(default_factory=dict)
     #: incremental-DRB reuse counters (splits reused/computed, rounds
     #: patched vs rebuilt, metric memo hits) as reported by
-    #: :class:`repro.core.drb.DRBCacheStats`; empty when the fast path
-    #: is disabled or the engine exposes none.
+    #: :class:`repro.core.drb.DRBCacheStats`; empty for runs whose
+    #: engine exposes none.
     drb_stats: dict = field(default_factory=dict)
     #: top-k candidate-prefilter counters (hosts considered vs pruned)
     #: as reported by :class:`repro.core.constraints.PrefilterStats`;
-    #: empty when the fast path is disabled.
+    #: empty for runs whose engine exposes none.
     prefilter_stats: dict = field(default_factory=dict)
     #: SLO alerts fired during the run (one dict per firing, as built
     #: by :class:`repro.obs.alerts.Watchdog`); attached by the runner

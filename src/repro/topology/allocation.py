@@ -42,8 +42,8 @@ class AllocationState:
     Every state mutation (allocate / release / machine down / machine
     up) bumps :attr:`version`, so derived caches — the placement memo
     in :class:`repro.core.placement.PlacementEngine`, the free-pool
-    signature here — can be invalidated by a single integer compare
-    instead of tracking individual deltas.
+    key here — can be invalidated by a single integer compare instead
+    of tracking individual deltas.
     """
 
     def __init__(self, topo: TopologyGraph) -> None:
@@ -64,8 +64,6 @@ class AllocationState:
         }
         self._jobs_by_machine: dict[str, set[str]] = {m: set() for m in topo.machines()}
         self._down_machines: set[str] = set()
-        self._signature: tuple | None = None
-        self._signature_version = -1
         self._pool_key: tuple | None = None
         self._pool_key_version = -1
         # maintained aggregates for O(1) capacity queries at fleet scale:
@@ -259,29 +257,10 @@ class AllocationState:
             for m in self._buckets[c]:
                 yield c, m
 
-    def free_pool_signature(self) -> tuple:
-        """Hashable snapshot of per-machine free capacity and health.
-
-        Cached per :attr:`version` so repeated reads within one
-        allocation epoch cost two attribute loads.  The signature
-        deliberately tracks free *counts*, not free GPU identities:
-        consumers (the placement memo) also key on the epoch, so a
-        coarse signature only ever widens the invalidation, never
-        misses one.
-        """
-        if self._signature_version != self.version:
-            self._signature = (
-                tuple(sorted(self._free_count.items())),
-                frozenset(self._down_machines),
-            )
-            self._signature_version = self.version
-        return self._signature
-
     def free_pool_key(self) -> tuple:
         """Identity-precise snapshot of the effective free pool.
 
-        Unlike :meth:`free_pool_signature` (free *counts* per machine)
-        this pins the exact set of free GPU ids plus machine health, so
+        It pins the exact set of free GPU ids plus machine health, so
         two states with an equal key offer byte-for-byte the same
         placement candidates.  It is what lets the placement memo keep
         entries *across* allocation epochs: an entry keyed on the pool

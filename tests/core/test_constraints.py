@@ -142,8 +142,11 @@ class TestPrefilter:
     def test_engine_budget_never_loses_the_exhaustive_pick(self):
         """Adaptive k (= the engine's ``max_pools``): the host the
         exhaustive scan would hand the engine is always in the
-        prefiltered set, so the proposal is bit-identical."""
+        prefiltered set, so the proposal is bit-identical to the
+        direct-function oracle's."""
         from repro.core.placement import PlacementEngine
+
+        from tests.oracle import DirectPlacementEngine
 
         topo = cluster(12)
         alloc_a = AllocationState(topo)
@@ -153,10 +156,8 @@ class TestPrefilter:
             gpus = topo.gpus(machine=f"m{i}")[: (i % 4) + 1]
             alloc_a.allocate(f"f{i}", gpus)
             alloc_b.allocate(f"f{i}", gpus)
-        fast = PlacementEngine(topo, alloc_a, prefilter=True,
-                               incremental_drb=False)
-        slow = PlacementEngine(topo, alloc_b, prefilter=False,
-                               incremental_drb=False)
+        fast = PlacementEngine(topo, alloc_a)
+        slow = DirectPlacementEngine(topo, alloc_b)
         assert fast.prefilter.top_k == fast.max_pools
         for need in (1, 2, 3, 4):
             job = make_job(f"probe{need}", num_gpus=need)
@@ -166,6 +167,7 @@ class TestPrefilter:
             if a is not None:
                 assert a.gpus == b.gpus
                 assert a.utility == b.utility
+        assert fast.prefilter_stats()["pruned"] > 0
 
     def test_spanning_pool_identical(self, small_cluster):
         alloc = AllocationState(small_cluster)

@@ -67,34 +67,33 @@ class TestPropose:
 
 
 class TestExplain:
-    def test_first_candidate_matches_propose(self):
-        topo = cluster(3)
-        alloc = AllocationState(topo)
-        engine = PlacementEngine(topo, alloc)
-        alloc.allocate("x", ["m0/gpu1"])  # make pools non-trivial
-        job = make_job(num_gpus=2, batch_size=1)
-        candidates = engine.explain(job)
-        proposed = engine.propose(job)
-        assert candidates
-        assert candidates[0].gpus == proposed.gpus
-        assert candidates[0].utility == pytest.approx(proposed.utility)
+    """The candidate report :meth:`PlacementEngine.propose` files into
+    decision provenance (what ``repro explain`` renders)."""
 
-    def test_candidates_sorted_by_utility(self):
+    def test_best_candidate_matches_propose(self):
         topo = cluster(3)
         alloc = AllocationState(topo)
-        engine = PlacementEngine(topo, alloc)
+        engine = PlacementEngine(topo, alloc, memo_size=0)
         alloc.allocate("a", ["m0/gpu1"])
         alloc.allocate("b", ["m1/gpu1", "m1/gpu3"])
-        utilities = [
-            s.utility for s in engine.explain(make_job(num_gpus=2, batch_size=1))
-        ]
-        assert utilities == sorted(utilities, reverse=True)
-        assert len(utilities) >= 2  # multiple pools were considered
+        provenance: dict = {}
+        proposed = engine.propose(
+            make_job(num_gpus=2, batch_size=1), provenance=provenance
+        )
+        candidates = provenance["candidates"]
+        assert len(candidates) >= 2  # multiple pools were considered
+        assert max(c["utility"] for c in candidates) == proposed.utility
+        assert topo.machine_of(proposed.gpus[0]) in {
+            m for c in candidates for m in c["machines"]
+        }
 
     def test_empty_when_nothing_fits(self, minsky, alloc):
         engine = PlacementEngine(minsky, alloc)
         alloc.allocate("x", minsky.gpus())
-        assert engine.explain(make_job(num_gpus=1)) == []
+        provenance: dict = {}
+        assert engine.propose(make_job(num_gpus=1), provenance=provenance) is None
+        assert provenance["reason"] == "no-feasible-pool"
+        assert "candidates" not in provenance
 
 
 class TestAntiCollocation:

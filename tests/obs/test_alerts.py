@@ -295,6 +295,23 @@ class TestWatchdogFiring:
         )
         assert result.alerts == []
 
+    def test_default_rules_silent_on_healthy_loaded_run(self):
+        """1500 jobs at 30/min on 50 machines: no SLO violation, p95
+        queue wait 0 s, and well over 1000 rounds in which the memo
+        (rightly) almost never hits — nothing to alert on."""
+        from repro.sim.metrics import slo_violations
+        from repro.workload.generator import GeneratorConfig, WorkloadGenerator
+
+        jobs = WorkloadGenerator(
+            GeneratorConfig(arrival_rate_per_min=30.0), seed=42
+        ).generate(1500)
+        *_, result = run_watchdog(
+            jobs, lambda: cluster(50), DEFAULT_RULES, scheduler="TOPO-AWARE"
+        )
+        assert result.decision_rounds > 1000
+        assert slo_violations(result.records) == []
+        assert result.alerts == []
+
     def test_duplicate_rule_names_rejected(self):
         rule = Rule("same", "queue_depth", ">", 1.0)
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,11 +1,12 @@
-"""Fast-path equivalence: memoised engine vs memo-disabled engine.
+"""Fast-path equivalence: the default engine vs its references.
 
 Extends the golden-equivalence pins (which compare the current engine
 against committed seed outputs) with a direct A/B proof that the
-placement memo, the GPU distance matrix and the capacity pruning
-change no scheduling decision: a full scenario run with the memo on
-must be record-for-record identical (``==``, no tolerance) to one with
-``memo_size=0``.
+placement memo, the GPU distance matrix, the capacity pruning, the
+incremental DRB split cache and the top-k prefilter change no
+scheduling decision: a full scenario run must be record-for-record
+identical (``==``, no tolerance) to one with ``memo_size=0``, and to
+one on the direct-function oracle engine (:mod:`tests.oracle`).
 """
 
 from __future__ import annotations
@@ -19,20 +20,17 @@ from repro.sim.cluster import ClusterState
 from repro.sim.engine import Simulator
 from repro.topology.builders import cluster, power8_minsky
 
+from tests.oracle import direct_cluster_state
 
-def _run(
-    topo_factory,
-    jobs,
-    scheduler_name,
-    memo_size=None,
-    *,
-    incremental_drb=True,
-    prefilter=True,
-):
+
+def _run(topo_factory, jobs, scheduler_name, memo_size=None, *, oracle=None):
+    """One run; ``oracle`` (a dict of :class:`DirectPlacementEngine`
+    flags) swaps the direct-function reference engine in."""
     topo = topo_factory()
-    state = ClusterState(
-        topo, incremental_drb=incremental_drb, prefilter=prefilter
-    )
+    if oracle is None:
+        state = ClusterState(topo)
+    else:
+        state = direct_cluster_state(topo, **oracle)
     if memo_size is not None:
         state.engine.memo_size = memo_size
     sim = Simulator(topo, make_scheduler(scheduler_name), list(jobs), cluster=state)
@@ -77,22 +75,21 @@ def test_fig11_fastpath_matrix_identical(
     scheduler_name, incremental_drb, prefilter
 ):
     """Incremental DRB and the top-k prefilter — alone or together —
-    must reproduce the both-off run record-for-record at a scale where
-    both actually engage (multi-machine fleet, contended rounds)."""
+    must reproduce the direct-function run record-for-record at a scale
+    where both actually engage (multi-machine fleet, contended rounds).
+    Both on is the default engine; a single fast path runs on the
+    oracle with the other one swapped for its direct function."""
     jobs = scenario2_jobs(60, 12, seed=11)
-    baseline = _run(
-        lambda: cluster(12),
-        jobs,
-        scheduler_name,
-        incremental_drb=False,
-        prefilter=False,
-    )
+    baseline = _run(lambda: cluster(12), jobs, scheduler_name, oracle={})
     fast = _run(
         lambda: cluster(12),
         jobs,
         scheduler_name,
-        incremental_drb=incremental_drb,
-        prefilter=prefilter,
+        oracle=(
+            None
+            if incremental_drb and prefilter
+            else {"incremental_drb": incremental_drb, "prefilter": prefilter}
+        ),
     )
     _assert_identical(baseline, fast)
     assert baseline.makespan == fast.makespan
@@ -103,6 +100,19 @@ def test_fig11_fastpath_matrix_identical(
         assert stats["splits_reused"] + stats["splits_computed"] > 0
     if prefilter:
         assert fast.prefilter_stats["calls"] > 0
+
+
+def test_default_engine_engages_both_fast_paths_at_fleet_scale():
+    """A default engine on the paper's 1000-machine fleet under a
+    contended Scenario 2 trace must actually run both fast paths: DRB
+    splits are reused across rounds and the prefilter skips hosts.
+    Catches a disconnected fast path without timing anything."""
+    topo = cluster(1000)
+    state = ClusterState(topo)
+    jobs = scenario2_jobs(60, 1000, seed=7)
+    Simulator(topo, make_scheduler("TOPO-AWARE"), jobs, cluster=state).run()
+    assert state.engine.drb_stats()["splits_reused"] > 0
+    assert state.engine.prefilter_stats()["pruned"] > 0
 
 
 @pytest.mark.parametrize("scheduler_name", ["TOPO-AWARE", "TOPO-AWARE-P"])
@@ -220,9 +230,6 @@ def test_check_equivalence_reports_identical():
     jobs = scenario1_jobs(30, seed=42)
     verdict = check_equivalence(jobs, 5)
     assert verdict["identical"] is True
-    assert verdict["fastpath_off_identical"] is True
-    assert verdict["drb_only_identical"] is True
-    assert verdict["prefilter_only_identical"] is True
     assert verdict["recorder_identical"] is True
     assert verdict["scheduler"] == "TOPO-AWARE"
     assert set(verdict["memo_stats"]) == {

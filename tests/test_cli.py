@@ -38,19 +38,6 @@ class TestSimulateAndCompare:
         out = capsys.readouterr().out
         assert "makespan_s" in out and "scheduler: BF" in out
 
-    def test_simulate_fastpath_flags_change_no_result(self, capsys):
-        def scheduling_facts(text):
-            # all summary lines except wall-clock timings, which vary
-            return [ln for ln in text.splitlines() if "time_s" not in ln]
-
-        args = ["simulate", "--jobs", "10", "--machines", "3",
-                "--scheduler", "TOPO-AWARE", "--seed", "1"]
-        assert main(args) == 0
-        fast = capsys.readouterr().out
-        assert main(args + ["--no-incremental-drb", "--no-prefilter"]) == 0
-        off = capsys.readouterr().out
-        assert scheduling_facts(fast) == scheduling_facts(off)
-
     def test_compare_prints_all_policies(self, capsys):
         code = main(["compare", "--jobs", "10", "--machines", "2", "--seed", "1"])
         assert code == 0

@@ -202,6 +202,8 @@ class TestAllocationEpochs:
         down = topo.machines()[1]
         alloc.set_machine_down(down)
         assert down in alloc.free_pool_key()[1]
+        # the down machine's free GPUs stop counting as capacity
+        assert alloc.total_free_count() == len(topo.gpus(machine="m0"))
 
     def test_reads_do_not_bump_version(self):
         topo = cluster(2)
@@ -210,25 +212,9 @@ class TestAllocationEpochs:
         alloc.free_gpus()
         alloc.max_free_count()
         alloc.total_free_count()
-        alloc.free_pool_signature()
+        alloc.free_pool_key()
         alloc.links_used(topo.gpus()[:2])
         assert alloc.version == v0
-
-    def test_signature_tracks_pool_and_health(self):
-        topo = cluster(2)
-        m0, m1 = topo.machines()
-        alloc = AllocationState(topo)
-        sig0 = alloc.free_pool_signature()
-        assert alloc.free_pool_signature() is sig0  # cached per version
-        alloc.allocate("j", topo.gpus(machine=m0)[:2])
-        sig1 = alloc.free_pool_signature()
-        assert sig1 != sig0
-        counts = dict(sig1[0])
-        assert counts[m0] == 2 and counts[m1] == 4
-        alloc.set_machine_down(m1)
-        sig2 = alloc.free_pool_signature()
-        assert m1 in sig2[1]
-        assert alloc.total_free_count() == 2  # down machine excluded
 
     def test_links_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(allocation_mod, "LINKS_CACHE_MAX", 4)
